@@ -61,11 +61,12 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff -base $(BASE) -new bench_current.json -table bench_delta.md -tol $(TOL)
 
 # perf-gate is the merge-blocking performance check: the TestPerfGate*
-# unit gates (zero-alloc inner loops, exact deterministic flip counts)
+# unit gates (zero-alloc inner loops, exact deterministic flip counts,
+# the exact backend's proven range and its refusal above it)
 # plus a benchdiff against the committed baseline. Everything it gates
 # on is machine-independent, so it cannot flake on runner timing noise.
 perf-gate:
-	$(GO) test -run='^TestPerfGate' -count=1 ./internal/sa ./internal/tabu ./internal/cqm ./internal/plancache ./internal/wal
+	$(GO) test -run='^TestPerfGate' -count=1 ./internal/sa ./internal/tabu ./internal/cqm ./internal/plancache ./internal/wal ./internal/exact
 	$(MAKE) bench-diff
 
 # fuzz-smoke gives every fuzz target a short randomized shake

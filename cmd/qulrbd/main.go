@@ -207,9 +207,10 @@ func run() error {
 
 // buildBackends assembles the requested solver set and returns a
 // cleanup that releases whatever the backends own (the batching
-// coalescer and its cloud client). The quantum engine is wrapped for
-// the serving context: Serialized (its diagnostics are not
-// synchronized) and Gated (the statevector simulator is O(2^n)).
+// coalescer and its cloud client). The quantum engine is Serialized
+// for the serving context (its diagnostics are not synchronized); like
+// exact, it refuses models outside its range itself (solve.ErrTooLarge),
+// so the router fails those over.
 // With -batch > 0 the hybrid backend is fronted by a request coalescer:
 // up to batchSize concurrent solves ride one cloud submission, and a
 // lone request waits at most batchWait before its batch flushes.
@@ -248,7 +249,7 @@ func buildBackends(list string, sweeps int, seed int64, faultRate float64, batch
 				out = append(out, hybrid.New(opt))
 			}
 		case "quantum":
-			out = append(out, route.Serialized(route.Gated(quantum.NewEngine(), quantum.MaxQubits)))
+			out = append(out, route.Serialized(quantum.NewEngine()))
 		default:
 			closeAll()
 			return nil, nil, fmt.Errorf("unknown backend %q (want sa, tabu, exact, hybrid, quantum)", name)

@@ -74,6 +74,26 @@ type Options struct {
 	Faults faults.Hook
 }
 
+// InitialsRead returns how many leading entries of Initials a solve
+// with these options reads, given the solve.WithReads override (0 =
+// none), or -1 when every entry may be read. Even annealing read r and
+// even tabu read r start from Initials[(r/2) % len(Initials)], so with
+// R = max(Reads, TabuReads) only the first ceil(R/2) entries are ever
+// indexed: dropping the rest leaves every read's start unchanged. A set
+// Initial is appended after Initials, so then no prefix is safe.
+func (o Options) InitialsRead(reads int) int {
+	if o.Initial != nil {
+		return -1
+	}
+	if reads <= 0 {
+		reads = o.Reads
+	}
+	if reads <= 0 {
+		reads = DefaultOptions().Reads
+	}
+	return (max(reads, o.TabuReads) + 1) / 2
+}
+
 // DefaultOptions returns settings that solve the paper's LRP models
 // reliably.
 func DefaultOptions() Options {

@@ -86,18 +86,47 @@ func (p *Pipeline) BuildStage(in *lrp.Instance) (*Encoded, error) {
 	return enc, nil
 }
 
-// WarmStarts encodes the pipeline's warm-start plans (identity plus
-// WarmPlans, unless NoWarmStart) into sample vectors for the encoding.
-// Plans over the migration cap are projected onto it first; plans the
-// encoding cannot express are skipped.
-func (p *Pipeline) WarmStarts(enc *Encoded) [][]bool {
-	if p.NoWarmStart {
-		return nil
+// ReadsWarmPlans reports whether the sampler can read any entry of
+// WarmPlans under the pipeline's own options. Only the default hybrid
+// sampler reads warm starts, and only the prefix that
+// hybrid.Options.InitialsRead names; the identity plan always comes
+// first. A caller that computes WarmPlans on demand (internal/shard)
+// skips the work when this is false.
+func (p *Pipeline) ReadsWarmPlans() bool {
+	if p.Solver != nil {
+		return false
 	}
+	keep := p.warmKeep(solve.NewConfig(p.Opts...).Reads)
+	return keep < 0 || keep > 1
+}
+
+// warmKeep returns how many encoded warm starts (identity included) the
+// default sampler reads under the given solve.WithReads override, or
+// -1 for all of them.
+func (p *Pipeline) warmKeep(reads int) int {
+	if p.NoWarmStart {
+		return 0
+	}
+	n := p.Hybrid.InitialsRead(reads)
+	if n < 0 {
+		return -1
+	}
+	return max(0, n-len(p.Hybrid.Initials))
+}
+
+// warmStarts encodes the pipeline's warm-start plans (identity plus
+// WarmPlans) into sample vectors for the encoding, stopping once keep
+// are encoded (keep < 0: all). Plans over the migration cap are
+// projected onto it first; plans the encoding cannot express are
+// skipped.
+func (p *Pipeline) warmStarts(enc *Encoded, keep int) [][]bool {
 	in := enc.in
 	candidates := append([]*lrp.Plan{lrp.NewPlan(in)}, p.WarmPlans...)
 	var warm [][]bool
 	for _, c := range candidates {
+		if keep >= 0 && len(warm) >= keep {
+			break
+		}
 		q := c.Clone()
 		if p.Build.K >= 0 && q.Migrated() > p.Build.K {
 			q.CapMigrations(in, p.Build.K)
@@ -112,13 +141,15 @@ func (p *Pipeline) WarmStarts(enc *Encoded) [][]bool {
 // solver resolves the sampling backend for enc: warm starts and pair
 // moves are folded into a copy of the hybrid options, the Solver
 // factory (or hybrid.New) builds the backend, and Wrap decorates it.
-func (p *Pipeline) solver(enc *Encoded) solve.Solver {
+// reads is the solve's solve.WithReads override (0 = none), which sets
+// how many warm starts are worth encoding.
+func (p *Pipeline) solver(enc *Encoded, reads int) solve.Solver {
 	var s solve.Solver
 	if p.Solver != nil {
 		s = p.Solver(enc)
 	} else {
 		h := p.Hybrid // copy: the caller's options are never mutated
-		h.Initials = append(append([][]bool(nil), h.Initials...), p.WarmStarts(enc)...)
+		h.Initials = append(append([][]bool(nil), h.Initials...), p.warmStarts(enc, p.warmKeep(reads))...)
 		// PairProb == 0 means "default": enable conservation-preserving
 		// pair moves where the formulation needs them. A negative value
 		// disables pair moves explicitly (used by the tuning ablation).
@@ -142,11 +173,11 @@ func (p *Pipeline) solver(enc *Encoded) solve.Solver {
 // ("qlrb.solve" span) under the pipeline's solve options plus any
 // extras (per-call budgets, seeds).
 func (p *Pipeline) SampleStage(ctx context.Context, enc *Encoded, extra ...solve.Option) (*solve.Result, error) {
-	s := p.solver(enc)
 	opts := make([]solve.Option, 0, len(p.Opts)+len(extra)+1)
 	opts = append(opts, solve.WithObs(p.Obs))
 	opts = append(opts, p.Opts...)
 	opts = append(opts, extra...)
+	s := p.solver(enc, solve.NewConfig(opts...).Reads)
 	span := p.Obs.StartSpan("qlrb.solve")
 	res, err := s.Solve(ctx, enc.Model, opts...)
 	if err != nil {

@@ -166,3 +166,49 @@ func TestPipelineObsSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineWarmPlansOnlyWhenRead: the pipeline reports whether its
+// sampler reads any WarmPlans entry, and warm plans past the read
+// prefix leave the solve bit-identical.
+func TestPipelineWarmPlansOnlyWhenRead(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Pipeline
+		want bool
+	}{
+		{"one read reads only the identity", Pipeline{Hybrid: hybrid.Options{Reads: 1}}, false},
+		{"three reads read two warm starts", Pipeline{Hybrid: hybrid.Options{Reads: 3}}, true},
+		{"WithReads overrides", Pipeline{Hybrid: hybrid.Options{Reads: 1}, Opts: []solve.Option{solve.WithReads(3)}}, true},
+		{"caller initials fill the prefix", Pipeline{Hybrid: hybrid.Options{Reads: 3, Initials: [][]bool{nil}}}, false},
+		{"NoWarmStart", Pipeline{Hybrid: hybrid.Options{Reads: 8}, NoWarmStart: true}, false},
+		{"custom solver", Pipeline{Hybrid: hybrid.Options{Reads: 8}, Solver: func(*Encoded) solve.Solver { return nil }}, false},
+	} {
+		if got := c.p.ReadsWarmPlans(); got != c.want {
+			t.Errorf("%s: ReadsWarmPlans = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	in := pipelineInstance()
+	warm := lrp.NewPlan(in)
+	warm.X[0][3], warm.X[3][3] = 4, 4 // move half of the heavy process's tasks
+	if err := warm.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	for _, reads := range []int{1, 2} {
+		run := func(plans []*lrp.Plan) string {
+			p := Pipeline{
+				Build:     BuildOptions{Form: QCQM1, K: 8},
+				Hybrid:    hybrid.Options{Reads: reads, Sweeps: 60, Seed: 3},
+				WarmPlans: plans,
+			}
+			plan, _, err := p.Run(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan.String()
+		}
+		if a, b := run(nil), run([]*lrp.Plan{warm}); a != b {
+			t.Fatalf("reads %d: an unread warm plan changed the plan:\n%v\nvs\n%v", reads, a, b)
+		}
+	}
+}

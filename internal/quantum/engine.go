@@ -37,7 +37,8 @@ type Diagnostics struct {
 // usable (if lower-quality) sample with Stats.Interrupted set.
 //
 // Only models whose QUBO fits the state-vector simulator (MaxQubits)
-// are solvable; larger models return an error.
+// are solvable; larger models are refused before any simulation with
+// an error wrapping solve.ErrTooLarge.
 type Engine struct {
 	// Layers is the circuit depth p (0 = 2).
 	Layers int
@@ -60,10 +61,21 @@ func NewEngine() *Engine { return &Engine{} }
 // Name implements solve.Solver.
 func (e *Engine) Name() string { return "quantum" }
 
+// tooLarge is the refusal of a model needing n > MaxQubits qubits.
+func tooLarge(n int) error {
+	return fmt.Errorf("quantum: %w: model needs %d qubits, gate simulator supports %d",
+		solve.ErrTooLarge, n, MaxQubits)
+}
+
 // Solve implements solve.Solver.
 func (e *Engine) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) (*solve.Result, error) {
 	if m == nil {
 		return nil, errors.New("quantum: nil model")
+	}
+	// The QUBO has at least the CQM's variables (slacks only add), so
+	// an oversize model is refused before the conversion.
+	if n := m.NumVars(); n > MaxQubits {
+		return nil, tooLarge(n)
 	}
 	cfg := solve.NewConfig(opts...)
 	stop := cfg.NewStop(ctx)
@@ -95,8 +107,7 @@ func (e *Engine) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 		return nil, fmt.Errorf("quantum: QUBO conversion: %w", err)
 	}
 	if qubo.NumVars > MaxQubits {
-		return nil, fmt.Errorf("quantum: model needs %d qubits, gate simulator supports %d",
-			qubo.NumVars, MaxQubits)
+		return nil, tooLarge(qubo.NumVars)
 	}
 	qa, err := NewQAOA(qubo, layers)
 	if err != nil {

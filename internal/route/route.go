@@ -49,10 +49,13 @@ var ErrNoBackends = errors.New("route: no backends")
 // causes.
 var ErrAllFailed = errors.New("route: all routed backends failed")
 
-// ErrTooLarge marks a model rejected by a Gated size guard before the
-// inner backend ran. It is a routing failure (the backend's weight
-// drops), not a caller error: other backends can still serve the solve.
-var ErrTooLarge = errors.New("route: model exceeds backend size limit")
+// ErrTooLarge marks a model rejected by a size guard before the backend
+// searched: a Gated wrapper's limit, or a backend's own stated range
+// (exact.MaxVars, quantum.MaxQubits). It is the same value as
+// solve.ErrTooLarge. It is a routing failure (the backend's weight
+// drops toward the floor), not a caller error: other backends can still
+// serve the solve.
+var ErrTooLarge = solve.ErrTooLarge
 
 // Defaults of Options.
 const (
@@ -478,11 +481,11 @@ type gated struct {
 
 // Gated bounds the model size a backend accepts: models with more than
 // maxVars binary variables are rejected with ErrTooLarge before the
-// inner solver runs. The natural use is the quantum state-vector
-// backend, whose memory is exponential in the qubit count — behind a
-// router, an out-of-range model simply fails over to a classical
-// backend and the quantum endpoint's weight decays for that traffic
-// mix, while small models keep reaching it.
+// inner solver runs. It gives a backend without a stated range one
+// (exact and quantum refuse out-of-range models themselves) — behind a
+// router, an out-of-range model simply fails over to another backend
+// and the gated endpoint's weight decays for that traffic mix, while
+// small models keep reaching it.
 func Gated(inner solve.Solver, maxVars int) solve.Solver {
 	return &gated{inner: inner, maxVars: maxVars}
 }

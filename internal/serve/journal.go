@@ -99,8 +99,9 @@ func (s *Server) journal(rec journalRecord) {
 	}
 }
 
-// journalTerminal records a job's terminal transition and gives the
-// journal a chance to compact. Called without s.mu held.
+// journalTerminal records a job's terminal transition. finish calls it
+// before publishing the terminal state, so no client can observe a
+// state a crash could take back. Called without s.mu held.
 func (s *Server) journalTerminal(j *job, st Status, plan *lrp.Plan, m *Metrics, err error) {
 	if s.opt.Journal == nil {
 		return
@@ -121,7 +122,6 @@ func (s *Server) journalTerminal(j *job, st Status, plan *lrp.Plan, m *Metrics, 
 		rec.Err = err.Error()
 	}
 	s.journal(rec)
-	s.maybeCompactJournal()
 }
 
 // maybeCompactJournal rewrites the journal as a snapshot of retained

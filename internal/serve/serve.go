@@ -574,12 +574,18 @@ func (s *Server) Wait(ctx context.Context, id string) (*Job, error) {
 
 // finish moves the job to a terminal state and signals waiters.
 func (s *Server) finish(j *job, st Status, plan *lrp.Plan, m *Metrics, err error) {
+	// Journal before visibility (DESIGN §13): the terminal record is
+	// appended before any reader can see the terminal state, the
+	// snapshot a due compaction writes already holds it, and only then
+	// are waiters woken.
+	s.journalTerminal(j, st, plan, m, err)
 	j.mu.Lock()
 	j.status = st
 	j.plan = plan
 	j.metrics = m
 	j.err = err
 	j.mu.Unlock()
+	s.maybeCompactJournal()
 	close(j.done)
 	switch st {
 	case StatusDone:
@@ -592,7 +598,6 @@ func (s *Server) finish(j *job, st Status, plan *lrp.Plan, m *Metrics, err error
 			s.obs.Counter("serve.expired").Inc()
 		}
 	}
-	s.journalTerminal(j, st, plan, m, err)
 }
 
 // worker is the solve loop: dequeue, honour drain and deadlines, run

@@ -325,14 +325,14 @@ func solveLevel(ctx context.Context, in *lrp.Instance, opt Options, budget time.
 // shared qlrb.Pipeline stages.
 func solveBase(ctx context.Context, in *lrp.Instance, opt Options, budget time.Duration) (*lrp.Plan, Stats, error) {
 	pipe := &qlrb.Pipeline{
-		Build:     opt.Build,
-		Hybrid:    opt.Hybrid,
-		WarmPlans: classicalWarm(ctx, in),
-		Wrap:      opt.Wrap,
-		Verify:    opt.Verify,
-		Obs:       opt.Obs,
-		Opts:      levelOpts(opt, budget),
+		Build:  opt.Build,
+		Hybrid: opt.Hybrid,
+		Wrap:   opt.Wrap,
+		Verify: opt.Verify,
+		Obs:    opt.Obs,
+		Opts:   levelOpts(opt, budget),
 	}
+	pipe.WarmPlans = classicalWarm(ctx, pipe, in)
 	plan, ps, err := pipe.Run(ctx, in)
 	if err != nil {
 		return nil, Stats{Groups: 1, Levels: 1}, err
@@ -379,14 +379,14 @@ func solveGroup(ctx context.Context, in *lrp.Instance, procs []int, k int, budge
 	build := opt.Build
 	build.K = k
 	pipe := &qlrb.Pipeline{
-		Build:     build,
-		Hybrid:    shardHybrid(opt.Hybrid, gi),
-		WarmPlans: classicalWarm(ctx, sub),
-		Wrap:      opt.Wrap,
-		Verify:    verify.Options{Tol: opt.Verify.Tol},
-		Obs:       opt.Obs,
-		Opts:      levelOpts(opt, budget),
+		Build:  build,
+		Hybrid: shardHybrid(opt.Hybrid, gi),
+		Wrap:   opt.Wrap,
+		Verify: verify.Options{Tol: opt.Verify.Tol},
+		Obs:    opt.Obs,
+		Opts:   levelOpts(opt, budget),
 	}
+	pipe.WarmPlans = classicalWarm(ctx, pipe, sub)
 	plan, ps, err := pipe.Run(ctx, sub)
 	if err != nil {
 		// Classical fallback: greedy LPT on the sub-instance, projected
@@ -413,8 +413,13 @@ func solveGroup(ctx context.Context, in *lrp.Instance, procs []int, k int, budge
 // protocol ("classical algorithms run first and guide the hybrid
 // experiments") applied at every node of the hierarchy. Plans over the
 // migration cap are projected by the pipeline's warm-start stage;
-// failures just mean fewer warm starts.
-func classicalWarm(ctx context.Context, in *lrp.Instance) []*lrp.Plan {
+// failures just mean fewer warm starts. When pipe's sampler reads no
+// warm start past the identity plan (one read reads only that one), the
+// methods are not run at all.
+func classicalWarm(ctx context.Context, pipe *qlrb.Pipeline, in *lrp.Instance) []*lrp.Plan {
+	if !pipe.ReadsWarmPlans() {
+		return nil
+	}
 	var warm []*lrp.Plan
 	if p, err := (balancer.ProactLB{}).Rebalance(ctx, in); err == nil {
 		warm = append(warm, p)

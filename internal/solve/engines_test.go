@@ -10,6 +10,7 @@ package solve_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -304,4 +305,48 @@ func TestCancellationAtArbitraryPoints(t *testing.T) {
 			cancel()
 		}
 	}
+}
+
+// TestRangeRefusalsAreTyped: a backend with a stated range refuses a
+// model outside it with an error wrapping solve.ErrTooLarge — exact
+// above exact.MaxVars variables, quantum above quantum.MaxQubits CQM
+// variables (before QUBO conversion) or QUBO qubits (slacks included) —
+// and serves a model at the limit.
+func TestRangeRefusalsAreTyped(t *testing.T) {
+	linear := func(n int) *cqm.Model {
+		m := cqm.New()
+		for i := 0; i < n; i++ {
+			m.AddObjectiveLinear(m.AddBinary("x"), float64(i%3-1))
+		}
+		return m
+	}
+	refused := func(name string, s solve.Solver, m *cqm.Model) {
+		t.Helper()
+		res, err := s.Solve(context.Background(), m, solve.WithSeed(1))
+		if !errors.Is(err, solve.ErrTooLarge) || res != nil {
+			t.Fatalf("%s on %d vars: got (%v, %v), want a solve.ErrTooLarge refusal", name, m.NumVars(), res, err)
+		}
+	}
+	refused("exact", exact.NewEngine(), linear(exact.MaxVars+1))
+	for _, m := range []*cqm.Model{hardPartition(20), knapsack([]float64{9, 7, 5, 4, 3, 2, 1}, 3)} {
+		if m.NumVars() > exact.MaxVars {
+			t.Fatalf("a %d-var ground-truth model is outside exact.MaxVars", m.NumVars())
+		}
+	}
+	m := linear(exact.MaxVars)
+	res, err := exact.NewEngine().Solve(context.Background(), m)
+	checkResult(t, "exact", m, res, err)
+
+	refused("quantum", quantum.NewEngine(), linear(quantum.MaxQubits+1))
+	// 20 CQM variables fit, but slack encoding of a cardinality cap of
+	// 20 adds 5 slack qubits: 25 > MaxQubits.
+	slack := linear(20)
+	var card cqm.LinExpr
+	for i := 0; i < 20; i++ {
+		card.Add(cqm.VarID(i), 1)
+	}
+	slack.AddConstraint("card", card, cqm.Le, 20)
+	q := quantum.NewEngine()
+	q.QUBO = cqm.DefaultQUBOOptions()
+	refused("quantum (slacks)", q, slack)
 }

@@ -12,7 +12,8 @@
 //     optimizer steps, portfolio branches).
 //   - Cancellation is not an error: an interrupted solve returns the
 //     best partial result found so far with Stats.Interrupted = true,
-//     never an invalid sample. Errors are reserved for malformed input.
+//     never an invalid sample. Errors are reserved for malformed input
+//     and for models outside a backend's stated range (ErrTooLarge).
 //   - Time is injected: backends read the Clock from the config instead
 //     of calling time.Now directly, so timing-sensitive behaviour (stats,
 //     deadlines) is fully deterministic under the fake clock in tests.
@@ -20,6 +21,7 @@ package solve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +29,15 @@ import (
 	"repro/internal/cqm"
 	"repro/internal/obs"
 )
+
+// ErrTooLarge marks a model a backend refuses, before any search,
+// because it lies outside the range the backend can serve: more qubits
+// than the gate simulator holds (quantum.MaxQubits), more variables
+// than branch and bound can prove (exact.MaxVars), or more than a
+// route.Gated guard admits. Match with errors.Is. Behind a router it is
+// a routing failure — the solve fails over to another backend — not a
+// caller error.
+var ErrTooLarge = errors.New("solve: model exceeds backend size limit")
 
 // Solver is the common interface of every solver backend. Solve runs
 // until completion, ctx cancellation, or the configured deadline/budget,
