@@ -158,9 +158,11 @@ type Model struct {
 
 	// Cached evaluator layout; nil until the first NewEvaluator and
 	// invalidated by every mutation. Reads are lock-free on the hot
-	// path; the mutex only serializes the one-time build.
-	layoutCache atomic.Pointer[layout]
-	layoutMu    sync.Mutex
+	// path; the mutex only serializes the one-time build. The flip
+	// index (see FlipIndex) is cached and invalidated the same way.
+	layoutCache    atomic.Pointer[layout]
+	flipIndexCache atomic.Pointer[FlipIndex]
+	layoutMu       sync.Mutex
 }
 
 // evalLayout returns the cached flat evaluator layout, building it on
@@ -179,8 +181,12 @@ func (m *Model) evalLayout() *layout {
 	return l
 }
 
-// invalidateLayout drops the cached evaluator layout after a mutation.
-func (m *Model) invalidateLayout() { m.layoutCache.Store(nil) }
+// invalidateLayout drops the cached evaluator layout and flip index
+// after a mutation.
+func (m *Model) invalidateLayout() {
+	m.layoutCache.Store(nil)
+	m.flipIndexCache.Store(nil)
+}
 
 // New returns an empty model.
 func New() *Model { return &Model{} }

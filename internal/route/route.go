@@ -105,7 +105,7 @@ type endpoint struct {
 
 	// EWMA estimates, guarded by the router mutex.
 	failEWMA float64 // in [0,1]: 0 = always verified-ok, 1 = always failing
-	latEWMA  float64 // milliseconds; 0 = no observation yet
+	latEWMA  float64 // milliseconds, successes only; 0 = none yet
 	weight   float64 // last computed normalized weight
 	current  float64 // smooth weighted round-robin accumulator
 
@@ -134,8 +134,8 @@ type Tally struct {
 	Panics int64
 	// FailRate is the current failure-rate EWMA in [0, 1].
 	FailRate float64
-	// LatencyMs is the current latency EWMA in milliseconds (0 before
-	// the first observation).
+	// LatencyMs is the current latency EWMA of verified successes in
+	// milliseconds (0 before the first success).
 	LatencyMs float64
 	// Weight is the backend's current normalized routing weight.
 	Weight float64
@@ -382,21 +382,25 @@ func (r *Router) pick(tried map[*endpoint]bool) *endpoint {
 
 // observe records one routed attempt's outcome into the endpoint's
 // EWMAs, tallies, and the obs registries (the router's own and the
-// per-solve one, when different).
+// per-solve one, when different). Only verified successes feed the
+// latency EWMA: a failure's latency says nothing about how fast the
+// backend serves, and a backend that refuses in microseconds would
+// otherwise become the latency reference that scales every other
+// backend's weight down.
 func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveObs *obs.Registry) {
 	r.mu.Lock()
 	a := r.opt.Alpha
-	ms := float64(lat) / float64(time.Millisecond)
-	if e.latEWMA == 0 {
-		e.latEWMA = ms
-	} else {
-		e.latEWMA += a * (ms - e.latEWMA)
-	}
 	fail := 1.0
 	switch outcome {
 	case "ok":
 		fail = 0
 		e.ok++
+		ms := float64(lat) / float64(time.Millisecond)
+		if e.latEWMA == 0 {
+			e.latEWMA = ms
+		} else {
+			e.latEWMA += a * (ms - e.latEWMA)
+		}
 	case "reject":
 		e.rejects++
 	case "panic":

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,6 +73,11 @@ func BenchmarkServeRequests(b *testing.B) {
 		}
 		resp, err := client.Get(ts.URL + "/jobs/" + id)
 		if err != nil {
+			b.Fatal(err)
+		}
+		// Drain before closing so the keep-alive connection is reused;
+		// an unread body makes every iteration dial a new one.
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 			b.Fatal(err)
 		}
 		resp.Body.Close()

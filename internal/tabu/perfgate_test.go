@@ -8,41 +8,25 @@ import (
 )
 
 // TestPerfGateStepAllocFree is a CI gate: the steepest-descent step must
-// not allocate.
+// not allocate. The run comes from the constructor Search uses, so the
+// gate covers the delta cache exactly as Search sets it up.
 func TestPerfGateStepAllocFree(t *testing.T) {
-	m := benchModel()
-	n := m.NumVars()
-	sc := getScratch(m, 2)
-	rng := rand.New(rand.NewSource(7))
-	state := sc.state[:n]
-	for i := range state {
-		state[i] = rng.Intn(2) == 0
-	}
-	sc.ev.Reset(state)
-	pool := sc.pool[:0]
-	for i := 0; i < n; i++ {
-		pool = append(pool, cqm.VarID(i))
-	}
-	sc.pool = pool
-	run := searchRun{
-		ev:         sc.ev,
-		rng:        rng,
-		pool:       pool,
-		tabu:       sc.tabuUntil,
-		tenure:     9,
-		best:       sc.best,
-		bestObj:    sc.ev.ObjectiveValue(),
-		bestFeas:   sc.ev.Feasible(feasTol),
-		bestEnergy: sc.ev.Energy(),
-	}
-	run.best.CopyFrom(sc.ev.Words())
-
-	it := 0
-	if allocs := testing.AllocsPerRun(100, func() {
-		it++
-		run.step(it)
-	}); allocs != 0 {
-		t.Errorf("step allocates %.1f allocs/run, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		m    *cqm.Model
+	}{
+		{"dense", benchModel()},
+		{"sparse", qcqm1Model(16, 2, 1)},
+	} {
+		sc := getScratch(tc.m, 2)
+		run := sc.startRun(Options{Seed: 7, Tenure: 9, Penalty: 2}, rand.New(rand.NewSource(7)))
+		it := 0
+		if allocs := testing.AllocsPerRun(100, func() {
+			it++
+			run.step(it)
+		}); allocs != 0 {
+			t.Errorf("%s: step allocates %.1f allocs/run, want 0", tc.name, allocs)
+		}
 	}
 }
 
