@@ -62,11 +62,12 @@ bench-diff:
 
 # perf-gate is the merge-blocking performance check: the TestPerfGate*
 # unit gates (zero-alloc inner loops, exact deterministic flip counts,
-# the exact backend's proven range and its refusal above it)
+# the exact backend's proven range and its refusal above it, the
+# router's worker-time shares on a fake clock)
 # plus a benchdiff against the committed baseline. Everything it gates
 # on is machine-independent, so it cannot flake on runner timing noise.
 perf-gate:
-	$(GO) test -run='^TestPerfGate' -count=1 ./internal/sa ./internal/tabu ./internal/cqm ./internal/plancache ./internal/wal ./internal/exact
+	$(GO) test -run='^TestPerfGate' -count=1 ./internal/sa ./internal/tabu ./internal/cqm ./internal/plancache ./internal/wal ./internal/exact ./internal/route
 	$(MAKE) bench-diff
 
 # fuzz-smoke gives every fuzz target a short randomized shake

@@ -203,6 +203,19 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// LookupCounter returns the named counter if something has created it,
+// and nil (a counter that reads 0) otherwise. Unlike Counter it never
+// creates one, so a reader polling for another layer's counters does
+// not publish zero-valued metrics that layer never wrote.
+func (r *Registry) LookupCounter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.counters[name]
+}
+
 // Gauge returns the named gauge, creating it on first use. A nil
 // registry returns a nil (no-op) gauge.
 func (r *Registry) Gauge(name string) *Gauge {

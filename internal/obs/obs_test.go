@@ -210,3 +210,25 @@ func TestWriteEventsIsValidJSONLines(t *testing.T) {
 		t.Fatalf("event attrs not sorted:\n%s", b.String())
 	}
 }
+
+// TestLookupCounterNeverCreates: a lookup of a counter nobody wrote
+// reads 0 and leaves the registry empty; once created, the lookup
+// returns the same counter.
+func TestLookupCounterNeverCreates(t *testing.T) {
+	var nilReg *Registry
+	if v := nilReg.LookupCounter("x").Value(); v != 0 {
+		t.Fatalf("nil registry lookup = %d, want 0", v)
+	}
+	r := NewRegistry()
+	if v := r.LookupCounter("hedge.backend.sa.wins").Value(); v != 0 {
+		t.Fatalf("missing counter reads %d, want 0", v)
+	}
+	if n := len(r.Snapshot().Counters); n != 0 {
+		t.Fatalf("lookup created %d counters, want 0", n)
+	}
+	c := r.Counter("hedge.backend.sa.wins")
+	c.Add(3)
+	if got := r.LookupCounter("hedge.backend.sa.wins"); got != c || got.Value() != 3 {
+		t.Fatalf("lookup after create = %p (%d), want %p (3)", got, got.Value(), c)
+	}
+}

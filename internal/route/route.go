@@ -14,10 +14,17 @@
 //   - Trust nothing: every backend runs behind solve.Protected and every
 //     reply is re-checked by internal/verify before it counts as a
 //     success. A corrupted backend is a failing backend.
-//   - Degrade, don't ban: a floor weight guarantees every backend keeps
-//     receiving a trickle of probe traffic, so a recovered backend earns
-//     its share back instead of being starved forever. Failure history
-//     is an EWMA, not a cumulative tally, for the same reason.
+//   - Share worker time, not picks: a backend's health gives it a share
+//     of worker time, and its pick share is that time share divided by
+//     its measured cost relative to the fastest backend. A backend 20×
+//     slower than the fastest is picked 20× less often for the same
+//     time share, so a slow backend cannot take half the workers by
+//     being picked for a twentieth of the requests.
+//   - Degrade, don't ban: a floor share of worker time guarantees every
+//     backend keeps receiving a trickle of probe traffic, so a
+//     recovered (or sped-up) backend earns its share back instead of
+//     being starved forever. Failure history is an EWMA, not a
+//     cumulative tally, for the same reason.
 //   - Fail over: a solve that fails on the picked backend is retried on
 //     the next-weighted one (each backend at most once per solve) before
 //     the router gives up.
@@ -59,8 +66,10 @@ var ErrTooLarge = solve.ErrTooLarge
 
 // Defaults of Options.
 const (
-	// DefaultFloor is the minimum share of traffic every backend keeps
-	// receiving as probes, however degraded it looks.
+	// DefaultFloor is the minimum share of worker time every backend
+	// keeps receiving as probes, however degraded it looks. A backend
+	// no slower than the fastest one gets about that share of picks; a
+	// backend k times slower gets about 1/k of it.
 	DefaultFloor = 0.05
 	// DefaultAlpha is the EWMA step for failure-rate and latency
 	// estimates: one observation moves the estimate 25% of the way.
@@ -74,8 +83,9 @@ type breakerHolder interface{ Policy() *resilient.Policy }
 
 // Options tunes a Router.
 type Options struct {
-	// Floor is the minimum normalized weight per backend
-	// (DefaultFloor when 0; values are clamped to [0, 1/len(backends)]).
+	// Floor is the minimum share of worker time per backend, before
+	// the conversion to pick shares (DefaultFloor when 0; values are
+	// clamped to [0, 1/len(backends)]).
 	Floor float64
 	// Alpha is the EWMA step for the failure-rate and latency estimates
 	// (DefaultAlpha when 0).
@@ -112,8 +122,59 @@ type endpoint struct {
 	// Cumulative tallies (reporting).
 	picks, ok, errs, rejects, panics int64
 
-	// Last-seen external counter values (delta tracking for Sync).
-	extSeen map[string]int64
+	// Last-seen hedge counter values (delta tracking for Sync), indexed
+	// like hedgeTallies.
+	hedgeSeen [len(hedgeTallies)]int64
+
+	names metricNames
+}
+
+// outcome classifies one routed attempt.
+type outcome int
+
+const (
+	outcomeOK outcome = iota
+	outcomeReject
+	outcomeError
+	outcomePanic
+	numOutcomes
+)
+
+// outcomeNames are the metric suffixes of the outcomes.
+var outcomeNames = [numOutcomes]string{"ok", "reject", "error", "panic"}
+
+// hedgeTallies are the per-backend counters a hedged race mirrors into
+// the shared registry, and whether each one counts as a failure.
+var hedgeTallies = [...]struct {
+	metric string
+	bad    bool
+}{
+	{"wins", false}, {"rejects", true}, {"errors", true}, {"panics", true},
+}
+
+// metricNames holds every obs metric name an endpoint publishes or
+// reads, built once in New so routing concatenates no strings.
+type metricNames struct {
+	weight, failEWMA, latEWMA string // gauges
+	picks                     string // counter
+	outcome                   [numOutcomes]string
+	latency                   string // histogram
+	hedge                     [len(hedgeTallies)]string
+}
+
+func newMetricNames(backend string) metricNames {
+	p := "route.backend." + backend + "."
+	n := metricNames{
+		weight: p + "weight", failEWMA: p + "fail_ewma", latEWMA: p + "latency_ewma_ms",
+		picks: p + "picks", latency: p + "latency_ms",
+	}
+	for i, o := range outcomeNames {
+		n.outcome[i] = p + o
+	}
+	for i, h := range hedgeTallies {
+		n.hedge[i] = "hedge.backend." + backend + "." + h.metric
+	}
+	return n
 }
 
 // Tally is one backend's cumulative routing record, plus its live
@@ -137,7 +198,9 @@ type Tally struct {
 	// LatencyMs is the current latency EWMA of verified successes in
 	// milliseconds (0 before the first success).
 	LatencyMs float64
-	// Weight is the backend's current normalized routing weight.
+	// Weight is the backend's current normalized routing weight: its
+	// expected share of picks (its share of worker time divided by its
+	// relative cost, renormalized).
 	Weight float64
 }
 
@@ -151,6 +214,9 @@ type Router struct {
 	mu    sync.Mutex
 	eps   []*endpoint
 	picks int64
+	// Recompute scratch, one slot per endpoint: raw health weights and
+	// relative costs c_b.
+	raws, costs []float64
 }
 
 // New builds a router over the given backends. Backend names must be
@@ -176,7 +242,11 @@ func New(opt Options, backends ...solve.Solver) (*Router, error) {
 	if opt.Name == "" {
 		opt.Name = "route"
 	}
-	r := &Router{opt: opt}
+	r := &Router{
+		opt:   opt,
+		raws:  make([]float64, len(backends)),
+		costs: make([]float64, len(backends)),
+	}
 	seen := make(map[string]bool, len(backends))
 	for i, b := range backends {
 		if b == nil {
@@ -188,11 +258,11 @@ func New(opt Options, backends ...solve.Solver) (*Router, error) {
 		}
 		seen[name] = true
 		r.eps = append(r.eps, &endpoint{
-			name:    name,
-			solver:  solve.Protected(b),
-			raw:     b,
-			weight:  1 / float64(len(backends)),
-			extSeen: make(map[string]int64),
+			name:   name,
+			solver: solve.Protected(b),
+			raw:    b,
+			weight: 1 / float64(len(backends)),
+			names:  newMetricNames(name),
 		})
 	}
 	return r, nil
@@ -244,7 +314,9 @@ func breakerOpen(e *endpoint) bool {
 // "hedge.backend.<name>.{wins,rejects,errors,panics}" counters; the
 // router treats each new win as a success observation and each new
 // reject/error/panic as a failure observation, so a backend that only
-// ever loses hedged races arrives at the router pre-downweighted.
+// ever loses hedged races arrives at the router pre-downweighted. The
+// counters are looked up, never created: a registry without a hedge
+// shows no hedge metrics.
 func (r *Router) syncExternalLocked() {
 	reg := r.opt.Obs
 	if reg == nil {
@@ -252,20 +324,14 @@ func (r *Router) syncExternalLocked() {
 	}
 	for _, e := range r.eps {
 		var good, bad int64
-		for _, m := range [...]struct {
-			metric string
-			bad    bool
-		}{
-			{"wins", false}, {"rejects", true}, {"errors", true}, {"panics", true},
-		} {
-			name := "hedge.backend." + e.name + "." + m.metric
-			v := reg.Counter(name).Value()
-			d := v - e.extSeen[name]
-			e.extSeen[name] = v
+		for i, h := range hedgeTallies {
+			v := reg.LookupCounter(e.names.hedge[i]).Value()
+			d := v - e.hedgeSeen[i]
+			e.hedgeSeen[i] = v
 			if d <= 0 {
 				continue
 			}
-			if m.bad {
+			if h.bad {
 				bad += d
 			} else {
 				good += d
@@ -292,15 +358,23 @@ func (r *Router) syncExternalLocked() {
 // (tens of ms against ms) is still penalized proportionally.
 const latencyEpsilonMs = 1.0
 
-// recomputeLocked refreshes every endpoint's normalized weight:
+// recomputeLocked refreshes every endpoint's normalized weight in two
+// steps: health sets each backend's share of worker time, and measured
+// cost turns that into its share of picks.
 //
-//	raw_b  = (1 - fail_b) * min(1, (ref+ε)/(lat_b+ε))   (ref = fastest EWMA)
-//	raw_b  = 0 when b's circuit breaker is open
-//	w_b    = max(Floor, raw_b / Σ raw)                  then renormalized
+//	ref    = fastest latency EWMA
+//	c_b    = min(1, (ref+ε)/(lat_b+ε))   (1 while b has no latency estimate)
+//	raw_b  = (1 - fail_b) * c_b          (0 while b's circuit breaker is open)
+//	s_b    = max(Floor, raw_b / Σ raw)   b's share of worker time
+//	w_b    = s_b * c_b, renormalized     b's share of picks
 //
-// so a healthy fast backend takes most of the traffic, a failing or
-// slow one decays toward the floor, an open breaker pins to the floor,
-// and the floor keeps probe traffic flowing to everyone.
+// A pick of b costs about (lat_b+ε)/(ref+ε) = 1/c_b times a pick of the
+// fastest backend, so w_b/c_b, and hence s_b, is b's share of busy
+// time. Without the second step a slow healthy backend's picks times
+// its cost would equal the fastest backend's, and every healthy backend
+// would take the same share of the workers however slow it is. A
+// failing or slow backend decays toward the floor, an open breaker pins
+// to it, and the floor keeps probe traffic flowing to everyone.
 func (r *Router) recomputeLocked() {
 	r.syncExternalLocked()
 	ref := 0.0
@@ -309,20 +383,18 @@ func (r *Router) recomputeLocked() {
 			ref = e.latEWMA
 		}
 	}
-	raws := make([]float64, len(r.eps))
 	sum := 0.0
 	for i, e := range r.eps {
-		raw := 1 - e.failEWMA
-		if raw < 0 {
-			raw = 0
-		}
+		c := 1.0
 		if ref > 0 && e.latEWMA > ref {
-			raw *= (ref + latencyEpsilonMs) / (e.latEWMA + latencyEpsilonMs)
+			c = (ref + latencyEpsilonMs) / (e.latEWMA + latencyEpsilonMs)
 		}
+		raw := max(0, 1-e.failEWMA) * c
 		if breakerOpen(e) {
 			raw = 0
 		}
-		raws[i] = raw
+		r.costs[i] = c
+		r.raws[i] = raw
 		sum += raw
 	}
 	if sum <= 0 {
@@ -331,23 +403,22 @@ func (r *Router) recomputeLocked() {
 			e.weight = 1 / float64(len(r.eps))
 		}
 	} else {
+		// s_b needs no renormalizing of its own: the pick shares are
+		// renormalized once, and scaling every s_b by one factor does
+		// not change them.
 		total := 0.0
 		for i, e := range r.eps {
-			w := raws[i] / sum
-			if w < r.opt.Floor {
-				w = r.opt.Floor
-			}
-			e.weight = w
-			total += w
+			e.weight = max(r.opt.Floor, r.raws[i]/sum) * r.costs[i]
+			total += e.weight
 		}
 		for _, e := range r.eps {
 			e.weight /= total
 		}
 	}
 	for _, e := range r.eps {
-		r.opt.Obs.Gauge("route.backend." + e.name + ".weight").Set(e.weight)
-		r.opt.Obs.Gauge("route.backend." + e.name + ".fail_ewma").Set(e.failEWMA)
-		r.opt.Obs.Gauge("route.backend." + e.name + ".latency_ewma_ms").Set(e.latEWMA)
+		r.opt.Obs.Gauge(e.names.weight).Set(e.weight)
+		r.opt.Obs.Gauge(e.names.failEWMA).Set(e.failEWMA)
+		r.opt.Obs.Gauge(e.names.latEWMA).Set(e.latEWMA)
 	}
 }
 
@@ -387,26 +458,26 @@ func (r *Router) pick(tried map[*endpoint]bool) *endpoint {
 // backend serves, and a backend that refuses in microseconds would
 // otherwise become the latency reference that scales every other
 // backend's weight down.
-func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveObs *obs.Registry) {
+func (r *Router) observe(e *endpoint, lat time.Duration, o outcome, solveObs *obs.Registry) {
+	ms := float64(lat) / float64(time.Millisecond)
 	r.mu.Lock()
 	a := r.opt.Alpha
 	fail := 1.0
-	switch outcome {
-	case "ok":
+	switch o {
+	case outcomeOK:
 		fail = 0
 		e.ok++
-		ms := float64(lat) / float64(time.Millisecond)
 		if e.latEWMA == 0 {
 			e.latEWMA = ms
 		} else {
 			e.latEWMA += a * (ms - e.latEWMA)
 		}
-	case "reject":
+	case outcomeReject:
 		e.rejects++
-	case "panic":
+	case outcomePanic:
 		e.panics++
 		e.errs++
-	default: // "error"
+	default: // outcomeError
 		e.errs++
 	}
 	e.failEWMA += a * (fail - e.failEWMA)
@@ -416,9 +487,9 @@ func (r *Router) observe(e *endpoint, lat time.Duration, outcome string, solveOb
 		if reg == nil {
 			continue
 		}
-		reg.Counter("route.backend." + e.name + ".picks").Inc()
-		reg.Counter("route.backend." + e.name + "." + outcome).Inc()
-		reg.Histogram("route.backend." + e.name + ".latency_ms").Observe(float64(lat) / float64(time.Millisecond))
+		reg.Counter(e.names.picks).Inc()
+		reg.Counter(e.names.outcome[o]).Inc()
+		reg.Histogram(e.names.latency).Observe(ms)
 		if solveObs == r.opt.Obs {
 			break // same registry passed twice: record once
 		}
@@ -453,16 +524,16 @@ func (r *Router) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 		res, err := e.solver.Solve(ctx, m, opts...)
 		lat := clk.Since(start)
 		if err != nil {
-			outcome := "error"
+			o := outcomeError
 			if errors.Is(err, solve.ErrPanic) {
-				outcome = "panic"
+				o = outcomePanic
 			}
-			r.observe(e, lat, outcome, cfg.Obs)
+			r.observe(e, lat, o, cfg.Obs)
 			causes = append(causes, fmt.Errorf("%s: %w", e.name, err))
 			continue
 		}
 		if rep := verify.Sample(m, res, r.opt.Verify); !rep.Ok() {
-			r.observe(e, lat, "reject", cfg.Obs)
+			r.observe(e, lat, outcomeReject, cfg.Obs)
 			if cfg.Obs != nil {
 				cfg.Obs.Emit("route.reject", map[string]any{
 					"backend": e.name, "violation": rep.Violations[0].String(),
@@ -471,7 +542,7 @@ func (r *Router) Solve(ctx context.Context, m *cqm.Model, opts ...solve.Option) 
 			causes = append(causes, fmt.Errorf("%s: %w", e.name, rep.Err()))
 			continue
 		}
-		r.observe(e, lat, "ok", cfg.Obs)
+		r.observe(e, lat, outcomeOK, cfg.Obs)
 		return res, nil
 	}
 	return nil, fmt.Errorf("%w: %w", ErrAllFailed, errors.Join(causes...))

@@ -577,7 +577,8 @@ func (s *Server) finish(j *job, st Status, plan *lrp.Plan, m *Metrics, err error
 	// Journal before visibility (DESIGN §13): the terminal record is
 	// appended before any reader can see the terminal state, the
 	// snapshot a due compaction writes already holds it, and only then
-	// are waiters woken.
+	// are waiters woken. The terminal counters are also counted before
+	// the wake-up, so a woken waiter reads them.
 	s.journalTerminal(j, st, plan, m, err)
 	j.mu.Lock()
 	j.status = st
@@ -586,7 +587,6 @@ func (s *Server) finish(j *job, st Status, plan *lrp.Plan, m *Metrics, err error
 	j.err = err
 	j.mu.Unlock()
 	s.maybeCompactJournal()
-	close(j.done)
 	switch st {
 	case StatusDone:
 		s.obs.Counter("serve.done").Inc()
@@ -598,6 +598,7 @@ func (s *Server) finish(j *job, st Status, plan *lrp.Plan, m *Metrics, err error
 			s.obs.Counter("serve.expired").Inc()
 		}
 	}
+	close(j.done)
 }
 
 // worker is the solve loop: dequeue, honour drain and deadlines, run
