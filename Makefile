@@ -63,11 +63,12 @@ bench-diff:
 # perf-gate is the merge-blocking performance check: the TestPerfGate*
 # unit gates (zero-alloc inner loops, exact deterministic flip counts,
 # the exact backend's proven range and its refusal above it, the
-# router's worker-time shares on a fake clock)
+# router's worker-time shares on a fake clock, the runtime simulator's
+# per-process rather than per-task allocations)
 # plus a benchdiff against the committed baseline. Everything it gates
 # on is machine-independent, so it cannot flake on runner timing noise.
 perf-gate:
-	$(GO) test -run='^TestPerfGate' -count=1 ./internal/sa ./internal/tabu ./internal/cqm ./internal/plancache ./internal/wal ./internal/exact ./internal/route
+	$(GO) test -run='^TestPerfGate' -count=1 ./internal/sa ./internal/tabu ./internal/cqm ./internal/plancache ./internal/wal ./internal/exact ./internal/route ./internal/chameleon
 	$(MAKE) bench-diff
 
 # fuzz-smoke gives every fuzz target a short randomized shake

@@ -13,9 +13,9 @@
 package chameleon
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/lrp"
 )
@@ -64,13 +64,30 @@ type Task struct {
 	Available float64
 }
 
+// run is n consecutive identical tasks of one process queue. Queues
+// hold runs instead of tasks: a process starts with one run and a
+// migration message splits at most one, so a queue of thousands of
+// equal tasks costs a few runs instead of 24 bytes per task.
+type run struct {
+	Task
+	n int
+}
+
 // Runtime is one simulated application run: per-process task queues plus
 // machine configuration.
 type Runtime struct {
-	cfg    Config
-	queues [][]Task
+	cfg Config
+	// queues[p] is process p's run-length task queue, head first; the
+	// tasks it expands to are the queue the runtime models.
+	queues [][]run
+	// counts[p] is the number of tasks queues[p] holds.
+	counts []int
 	iter   int
 	tracer func(TraceEvent)
+
+	// RunIteration scratch, reused across iterations.
+	order   []run
+	workers workerHeap
 }
 
 // SetTracer installs a callback receiving one TraceEvent per executed
@@ -87,13 +104,13 @@ func New(cfg Config, in *lrp.Instance) (*Runtime, error) {
 	if cfg.LatencyMs < 0 || cfg.PerTaskMs < 0 {
 		return nil, fmt.Errorf("chameleon: negative communication costs")
 	}
-	r := &Runtime{cfg: cfg, queues: make([][]Task, in.NumProcs())}
+	m := in.NumProcs()
+	r := &Runtime{cfg: cfg, queues: make([][]run, m), counts: make([]int, m)}
 	for j := range r.queues {
-		q := make([]Task, in.Tasks[j])
-		for t := range q {
-			q[t] = Task{Load: in.Weight[j], Origin: j}
+		if n := in.Tasks[j]; n > 0 {
+			r.queues[j] = []run{{Task{Load: in.Weight[j], Origin: j}, n}}
+			r.counts[j] = n
 		}
-		r.queues[j] = q
 	}
 	return r, nil
 }
@@ -130,8 +147,8 @@ func (r *Runtime) ApplyPlan(p *lrp.Plan) (MigrationStats, error) {
 				out += p.X[i][j]
 			}
 		}
-		if out > len(r.queues[j]) {
-			return stats, fmt.Errorf("chameleon: plan moves %d tasks from proc %d holding %d", out, j, len(r.queues[j]))
+		if out > r.counts[j] {
+			return stats, fmt.Errorf("chameleon: plan moves %d tasks from proc %d holding %d", out, j, r.counts[j])
 		}
 		sendClock := 0.0
 		// Deterministic destination order.
@@ -142,14 +159,7 @@ func (r *Runtime) ApplyPlan(p *lrp.Plan) (MigrationStats, error) {
 			}
 			sendClock += r.cfg.LatencyMs + float64(c)*r.cfg.PerTaskMs
 			arrival := sendClock
-			// Detach the last c tasks from j and append to i.
-			q := r.queues[j]
-			moved := q[len(q)-c:]
-			r.queues[j] = q[:len(q)-c]
-			for _, t := range moved {
-				t.Available = arrival
-				r.queues[i] = append(r.queues[i], t)
-			}
+			r.migrate(j, i, c, arrival)
 			stats.Messages++
 			stats.Tasks += c
 			if arrival > stats.LastArrivalMs {
@@ -159,6 +169,39 @@ func (r *Runtime) ApplyPlan(p *lrp.Plan) (MigrationStats, error) {
 		stats.CommTimeMs += sendClock
 	}
 	return stats, nil
+}
+
+// migrate detaches the last c (> 0) tasks of process from and appends
+// them, in queue order, to process to, available from arrival on. It
+// splits at most one run. Received tasks join the tail of a queue, so a
+// process that received tasks earlier in the same plan forwards those
+// first.
+func (r *Runtime) migrate(from, to, c int, arrival float64) {
+	q := r.queues[from]
+	k, taken := len(q), 0
+	for taken < c {
+		k--
+		taken += q[k].n
+	}
+	// q[k:] holds the last taken >= c tasks; the first keep of run k stay.
+	keep := taken - c
+	dst := r.queues[to]
+	head := q[k]
+	head.n -= keep
+	head.Available = arrival
+	dst = append(dst, head)
+	for _, t := range q[k+1:] {
+		t.Available = arrival
+		dst = append(dst, t)
+	}
+	r.queues[to] = dst
+	if keep > 0 {
+		q[k].n = keep
+		k++
+	}
+	r.queues[from] = q[:k]
+	r.counts[from] -= c
+	r.counts[to] += c
 }
 
 // IterStats reports the outcome of one BSP iteration.
@@ -183,66 +226,103 @@ type workerSlot struct {
 	id   int
 }
 
+// workerHeap is a binary min-heap of worker slots ordered by (free, id):
+// its root is the worker that picks the next task.
 type workerHeap []workerSlot
 
-func (h workerHeap) Len() int { return len(h) }
-func (h workerHeap) Less(i, j int) bool {
+func (h workerHeap) less(i, j int) bool {
 	if h[i].free != h[j].free {
 		return h[i].free < h[j].free
 	}
 	return h[i].id < h[j].id
 }
-func (h workerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *workerHeap) Push(x any)   { *h = append(*h, x.(workerSlot)) }
-func (h *workerHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// fixRoot restores the heap order after the root's free time grew.
+func (h workerHeap) fixRoot() {
+	i, n := 0, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// byAvailable orders runs by the time their tasks become available.
+func byAvailable(a, b run) int { return cmp.Compare(a.Available, b.Available) }
+
+// byAvailableLongest breaks byAvailable ties longest task first (LPT).
+func byAvailableLongest(a, b run) int {
+	if c := cmp.Compare(a.Available, b.Available); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Load, a.Load)
+}
 
 // RunIteration simulates one computation phase: each process's workers
 // greedily execute available tasks (list scheduling in availability
 // order). Afterwards all tasks are considered local (Available reset),
 // modelling the BSP synchronization point.
+//
+// The execution order is a stable sort of the queue's tasks by
+// availability (then longest first under LPT). Every task of a run has
+// the same key, so stably sorting the runs and expanding them yields
+// exactly that order.
 func (r *Runtime) RunIteration() IterStats {
 	m := len(r.queues)
 	stats := IterStats{Finish: make([]float64, m), Busy: make([]float64, m)}
 	for p := 0; p < m; p++ {
-		q := append([]Task(nil), r.queues[p]...)
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].Available != q[b].Available {
-				return q[a].Available < q[b].Available
-			}
-			return r.cfg.LPT && q[a].Load > q[b].Load
-		})
-		h := make(workerHeap, r.cfg.workersOf(p))
-		for w := range h {
-			h[w] = workerSlot{id: w}
+		order := append(r.order[:0], r.queues[p]...)
+		r.order = order
+		if r.cfg.LPT {
+			slices.SortStableFunc(order, byAvailableLongest)
+		} else {
+			slices.SortStableFunc(order, byAvailable)
 		}
-		heap.Init(&h)
+		// Equal free times in ascending id order already form a heap.
+		h := r.workers[:0]
+		for w := 0; w < r.cfg.workersOf(p); w++ {
+			h = append(h, workerSlot{id: w})
+		}
+		r.workers = h
 		finish := 0.0
-		for _, t := range q {
-			start := h[0].free
-			if t.Available > start {
-				start = t.Available
+		for _, t := range order {
+			for k := 0; k < t.n; k++ {
+				start := h[0].free
+				if t.Available > start {
+					start = t.Available
+				}
+				end := start + t.Load
+				if r.tracer != nil {
+					r.tracer(TraceEvent{
+						Iter: r.iter, Proc: p, Worker: h[0].id,
+						Origin: t.Origin, StartMs: start, EndMs: end,
+					})
+				}
+				h[0].free = end
+				h.fixRoot()
+				if end > finish {
+					finish = end
+				}
+				stats.Busy[p] += t.Load
 			}
-			end := start + t.Load
-			if r.tracer != nil {
-				r.tracer(TraceEvent{
-					Iter: r.iter, Proc: p, Worker: h[0].id,
-					Origin: t.Origin, StartMs: start, EndMs: end,
-				})
-			}
-			h[0].free = end
-			heap.Fix(&h, 0)
-			if end > finish {
-				finish = end
-			}
-			stats.Busy[p] += t.Load
 		}
 		stats.Finish[p] = finish
 		if finish > stats.MakespanMs {
 			stats.MakespanMs = finish
 		}
 		// Mark tasks local for subsequent iterations.
-		for i := range r.queues[p] {
-			r.queues[p][i].Available = 0
+		q := r.queues[p]
+		for i := range q {
+			q[i].Available = 0
 		}
 	}
 	for p := 0; p < m; p++ {
@@ -266,10 +346,8 @@ func (r *Runtime) Run(iterations int) []IterStats {
 
 // QueueLengths returns the current number of tasks held by each process.
 func (r *Runtime) QueueLengths() []int {
-	out := make([]int, len(r.queues))
-	for i, q := range r.queues {
-		out[i] = len(q)
-	}
+	out := make([]int, len(r.counts))
+	copy(out, r.counts)
 	return out
 }
 
@@ -278,7 +356,9 @@ func (r *Runtime) TotalLoad() float64 {
 	total := 0.0
 	for _, q := range r.queues {
 		for _, t := range q {
-			total += t.Load
+			for k := 0; k < t.n; k++ {
+				total += t.Load
+			}
 		}
 	}
 	return total

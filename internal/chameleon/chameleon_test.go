@@ -251,17 +251,20 @@ func TestConservationUnderRandomPlans(t *testing.T) {
 func TestLPTSchedulingBeatsQueueOrder(t *testing.T) {
 	// One long task buried behind short ones: queue order ends at
 	// 9*1/3 + ... with the long task last; LPT runs it first.
-	in := lrp.MustInstance([]int{10}, []float64{1})
+	in := lrp.MustInstance([]int{9, 1}, []float64{1, 6})
 	mk := func(lpt bool) float64 {
 		r, err := New(Config{Workers: 3, LPT: lpt}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Hand-craft a heterogeneous queue: 9 short + 1 long at the end.
-		for i := range r.queues[0] {
-			r.queues[0][i].Load = 1
+		// Build a heterogeneous queue on proc 0: 9 short + 1 long at the
+		// end. With free communication the long task arrives at time 0,
+		// like the local ones, and proc 1 is left empty.
+		p := lrp.NewPlan(in)
+		p.Move(0, 1, 1)
+		if _, err := r.ApplyPlan(p); err != nil {
+			t.Fatal(err)
 		}
-		r.queues[0][9].Load = 6
 		return r.RunIteration().MakespanMs
 	}
 	fifo, lpt := mk(false), mk(true)

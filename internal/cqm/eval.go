@@ -449,9 +449,46 @@ func (ev *Evaluator) CommitFlip(v VarID, delta float64) {
 }
 
 // Flip commits a flip of variable v, updating all cached values in
-// O(degree of v), and returns the energy change.
+// O(degree of v), and returns the energy change. It is FlipDelta and
+// CommitFlip fused into one walk over v's memberships: every term adds
+// to the delta and updates its cached value in the same step, in
+// FlipDelta's order, so the result is bit-identical to the two-pass
+// form. (A model's squared expressions and constraints hold each
+// variable at most once, so a membership never sees a value its own
+// walk already updated.)
 func (ev *Evaluator) Flip(v VarID) float64 {
-	delta := ev.FlipDelta(v)
-	ev.CommitFlip(v, delta)
+	lay := ev.lay
+	x := ev.x
+	d := 1.0
+	if x.Get(int(v)) {
+		d = -1.0
+	}
+	delta := d * lay.linCoef[v]
+	ev.objLinear += d * lay.linCoef[v]
+	for i, end := lay.quadOff[v], lay.quadOff[v+1]; i < end; i++ {
+		if x.Get(int(lay.quadVar[i])) {
+			delta += d * lay.quadCoef[i]
+			ev.objQuad += d * lay.quadCoef[i]
+		}
+	}
+	for i, end := lay.sqOff[v], lay.sqOff[v+1]; i < end; i++ {
+		si := lay.sqIdx[i]
+		old := ev.sqVal[si]
+		nv := old + d*lay.sqCoef[i]
+		delta += nv*nv - old*old
+		ev.sqVal[si] = nv
+	}
+	for i, end := lay.conOff[v], lay.conOff[v+1]; i < end; i++ {
+		ci := lay.conIdx[i]
+		old := ev.conVal[ci]
+		nv := old + d*lay.conCoef[i]
+		lo, hi := lay.conLo[ci], lay.conHi[ci]
+		ng := bandGap(nv, lo, hi)
+		og := bandGap(old, lo, hi)
+		delta += ev.penalty[ci] * (ng*ng - og*og)
+		ev.conVal[ci] = nv
+	}
+	x.Flip(int(v))
+	ev.energy += delta
 	return delta
 }

@@ -182,3 +182,68 @@ func FuzzEvaluator(f *testing.F) {
 		checkAgainstScratch(t, m, rng, int(steps%256))
 	})
 }
+
+// TestFlipMatchesDeltaThenCommit pins the one-pass Flip to the two-pass
+// FlipDelta+CommitFlip it fuses: twin evaluators on random models with
+// continuous coefficients (every membership kind, all three constraint
+// senses) run the same long flip sequence, one through each path, and
+// must agree bit for bit at every step.
+func TestFlipMatchesDeltaThenCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 40; trial++ {
+		m := New()
+		n := 2 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			m.AddBinary("x")
+		}
+		randExpr := func() LinExpr {
+			var e LinExpr
+			for t := 1 + rng.Intn(n); t > 0; t-- {
+				e.Add(VarID(rng.Intn(n)), rng.NormFloat64())
+			}
+			e.Offset = rng.NormFloat64()
+			return e
+		}
+		for k := 2 * n; k > 0; k-- {
+			m.AddObjectiveLinear(VarID(rng.Intn(n)), rng.NormFloat64())
+			m.AddObjectiveQuad(VarID(rng.Intn(n)), VarID(rng.Intn(n)), rng.NormFloat64())
+		}
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			m.AddObjectiveSquared(randExpr())
+		}
+		for _, s := range []Sense{Le, Ge, Eq, Sense(rng.Intn(3))} {
+			m.AddConstraint("c", randExpr(), s, rng.NormFloat64())
+		}
+
+		penalty := 0.1 + 4*rng.Float64()
+		one, two := NewEvaluator(m, penalty), NewEvaluator(m, penalty)
+		x := make([]bool, n)
+		for i := range x {
+			x[i] = rng.Intn(2) == 0
+		}
+		one.Reset(x)
+		two.Reset(x)
+		for step := 0; step < 2000; step++ {
+			v := VarID(rng.Intn(n))
+			got := one.Flip(v)
+			want := two.FlipDelta(v)
+			two.CommitFlip(v, want)
+			if !same(got, want) {
+				t.Fatalf("trial %d step %d: Flip(%d) = %v, FlipDelta = %v", trial, step, v, got, want)
+			}
+			if !same(one.Energy(), two.Energy()) || !same(one.ObjectiveValue(), two.ObjectiveValue()) ||
+				!same(one.PenaltyValue(), two.PenaltyValue()) {
+				t.Fatalf("trial %d step %d: Flip path energy/objective/penalty %v/%v/%v, two-pass %v/%v/%v",
+					trial, step, one.Energy(), one.ObjectiveValue(), one.PenaltyValue(),
+					two.Energy(), two.ObjectiveValue(), two.PenaltyValue())
+			}
+			w1, w2 := one.Words(), two.Words()
+			for i := range w1 {
+				if w1[i] != w2[i] {
+					t.Fatalf("trial %d step %d: assignment word %d differs", trial, step, i)
+				}
+			}
+		}
+	}
+}

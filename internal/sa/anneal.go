@@ -382,8 +382,7 @@ func EstimateSchedule(m *cqm.Model, penalty float64, rng *rand.Rand) (betaStart,
 		}
 		ev.Reset(state)
 		for k := 0; k < 4*n; k++ {
-			v := cqm.VarID(rng.Intn(n))
-			d := ev.FlipDelta(v)
+			d := ev.Flip(cqm.VarID(rng.Intn(n)))
 			if d > 0 {
 				sumUp += d
 				count++
@@ -391,7 +390,6 @@ func EstimateSchedule(m *cqm.Model, penalty float64, rng *rand.Rand) (betaStart,
 					maxUp = d
 				}
 			}
-			ev.CommitFlip(v, d)
 		}
 	}
 	if count == 0 || sumUp == 0 {
